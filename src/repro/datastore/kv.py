@@ -110,22 +110,37 @@ class KeyValueStore:
 
     def get(self, key: Hashable, default: object = None) -> object:
         """Fetch the value for ``key`` or ``default`` if absent/expired."""
-        if key in self._data and not self._expired(key):
-            self._data.move_to_end(key)
-            self._hits += 1
-            return self._data[key]
-        if key in self._data:  # present but expired
-            self._purge(key)
+        data = self._data
+        if key in data:
+            # No TTL'd key at all: nothing can be expired, skip the lookup.
+            if not self._expires or not self._expired(key):
+                data.move_to_end(key)
+                self._hits += 1
+                return data[key]
+            self._purge(key)  # present but expired
         self._misses += 1
         return default
 
+    def peek(self, key: Hashable, default: object = None) -> object:
+        """The live value for ``key`` (or ``default``) without touching it.
+
+        A pure read: no LRU refresh, no hit/miss count, no purge of an
+        expired entry.  For readers that must consume no store state —
+        the walk engines' prefetch predictions — where a :meth:`get`
+        would change which key a bounded store evicts next.
+        """
+        if self._expires and self._expired(key):
+            return default
+        return self._data.get(key, default)
+
     def contains(self, key: Hashable) -> bool:
         """Whether ``key`` is live (present and unexpired). No LRU touch."""
-        if key in self._data and not self._expired(key):
-            return True
-        if key in self._data:
+        if key not in self._data:
+            return False
+        if self._expires and self._expired(key):
             self._purge(key)
-        return False
+            return False
+        return True
 
     def __contains__(self, key: Hashable) -> bool:
         return self.contains(key)

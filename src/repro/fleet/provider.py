@@ -188,6 +188,10 @@ class ShardedProvider(SocialProvider):
         if latency_quantum < 0:
             raise ValueError("latency_quantum must be non-negative")
         self._quantum = float(latency_quantum)
+        # The shard stacks and their private sets are fixed from here on,
+        # so whether the fleet can refuse is too: the walk engines read
+        # it on every step and every prediction.
+        self._may_refuse = any(s.may_refuse for s in self._shards)
         self._stats = [ShardStats() for _ in shards]
         self._trace_dispatches = False
         self._dispatch_log: List[FetchDispatch] = []
@@ -384,7 +388,7 @@ class ShardedProvider(SocialProvider):
 
     @property
     def may_refuse(self) -> bool:
-        return any(s.may_refuse for s in self._shards)
+        return self._may_refuse
 
     # ------------------------------------------------------------------
     # snapshot support

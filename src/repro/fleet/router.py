@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import bisect
 import zlib
-from typing import Hashable, List, Optional, Sequence, Tuple
+from typing import Dict, Hashable, List, Optional, Sequence, Tuple
 
 from repro.datastore.snapshot import _canonical, encode_value
 from repro.errors import SnapshotError
@@ -99,12 +99,27 @@ class ShardRouter:
         ring.sort()
         self._ring = ring
         self._points = [p for p, _ in ring]
+        # user -> shard for int and str ids.  Routing is a pure function
+        # of the ring, so a repeat lookup can skip the encode-and-hash.
+        # Other id types stay out: equal ids can encode differently
+        # (``(1,) == (True,)``), and the memo must never merge them.
+        self._memo: Dict[Node, int] = {}
 
     # ------------------------------------------------------------------
     # routing
     # ------------------------------------------------------------------
     def shard_of(self, user: Node) -> int:
         """The shard index owning ``user`` (stable across processes)."""
+        kind = type(user)
+        if kind is int or kind is str:
+            shard = self._memo.get(user)
+            if shard is None:
+                shard = self._memo[user] = self._ring_lookup(user)
+            return shard
+        return self._ring_lookup(user)
+
+    def _ring_lookup(self, user: Node) -> int:
+        """The ring walk behind :meth:`shard_of`, never memoized."""
         h = _stable_hash(f"{self._seed}:user:{_canonical(encode_value(user))}")
         idx = bisect.bisect_left(self._points, h)
         if idx == len(self._points):  # wrap past the last ring point

@@ -134,6 +134,17 @@ class NeighborhoodCache:
         value = self._store.get(self._seq_key(user))
         return value if isinstance(value, tuple) else None
 
+    def peek_seq(self, user: Node) -> Optional[Tuple[Node, ...]]:
+        """:meth:`neighbor_seq` without touching the store.
+
+        No LRU refresh and no hit/miss count (see
+        :meth:`~repro.datastore.kv.KeyValueStore.peek`): prefetch
+        predictions read through this so that predicting leaves the
+        cache exactly as it found it.
+        """
+        value = self._store.peek(self._seq_key(user))
+        return value if isinstance(value, tuple) else None
+
     def attributes(self, user: Node) -> Optional[Dict]:
         """Cached attribute dict (copy), or ``None`` if not cached."""
         value = self._store.get(self._attr_key(user))

@@ -104,6 +104,10 @@ class RandomWalkSampler(abc.ABC):
     ) -> None:
         self._api = api
         self._rng = ensure_rng(seed)
+        # A stream passed in by the caller may be drawn from elsewhere, so
+        # only an owned stream lets a prediction continue from its last
+        # replay (see _replay_resume).
+        self._owns_rng = not isinstance(seed, random.Random)
         self._uses_default_trace = trace_attribute is None
         self._trace_fn = (
             trace_attribute if trace_attribute is not None else (lambda resp: float(resp.degree))
@@ -299,6 +303,7 @@ class RandomWalkSampler(abc.ABC):
         self._rng.setstate(state["rng"])
         self._current_resp = None
         self._current_seq = None
+        self._replay_path = None
 
     # ------------------------------------------------------------------
     # planning support
@@ -308,6 +313,16 @@ class RandomWalkSampler(abc.ABC):
     #: fresh ``random.Random`` from the OS per call costs more than the
     #: replay itself.
     _replay_rng: Optional[random.Random] = None
+
+    #: The path the last replay walked, for engines that continue it
+    #: (:meth:`_replay_resume`): ``_replay_path[i]`` is where the walk
+    #: stands after ``i`` one-draw steps from live step ``_replay_base``,
+    #: ``_replay_seqs[i]`` the neighborhood step ``i`` drew from, and
+    #: ``_replay_rng`` sits just past the last recorded draw.  ``None``
+    #: until the first prediction and after :meth:`load_state`.
+    _replay_path: Optional[List[Node]] = None
+    _replay_seqs: List[tuple]
+    _replay_base = 0
 
     def _replay_rng_clone(self) -> random.Random:
         """A scratch RNG carrying a copy of the live Mersenne state.
@@ -322,15 +337,52 @@ class RandomWalkSampler(abc.ABC):
         rng.setstate(self._rng.getstate())
         return rng
 
+    def _replay_reset(self) -> random.Random:
+        """Start a fresh recorded replay at the live position."""
+        self._replay_path = [self._current]
+        self._replay_seqs = []
+        self._replay_base = self._steps
+        return self._replay_rng_clone()
+
+    def _replay_resume(self) -> random.Random:
+        """The replay RNG, with the recorded path starting at the live step.
+
+        For engines whose every step spends exactly one draw from a
+        non-empty neighborhood and moves to the drawn node.  While the
+        live walk has only taken steps the last replay recorded, its RNG
+        has made exactly the draws the replay made, so the replay RNG and
+        the rest of the path are still its future: the prefix already
+        walked is dropped and the replay continues from there.  Anything
+        else — no replay yet, a live position off the recorded path
+        (a dead-end hold, a step past the recorded end),
+        :meth:`load_state`, or an RNG stream the caller shares — starts
+        over from a fresh clone of the live state.
+        """
+        path = self._replay_path
+        done = self._steps - self._replay_base
+        if (
+            path is None
+            or not self._owns_rng
+            or not 0 <= done < len(path)
+            or path[done] != self._current
+        ):
+            return self._replay_reset()
+        if done:
+            del path[:done]
+            del self._replay_seqs[:done]
+            self._replay_base = self._steps
+        return self._replay_rng
+
     def _replay_seq_of(self, cache, node: Node) -> Optional[tuple]:
         """``node``'s stable neighbor tuple as a replay would see it.
 
-        Reads the shared cache, falling back to the step memos when the
-        walk's own current node has been evicted from a bounded cache —
-        the memo is what the real step will draw from.  Returns ``None``
-        for genuinely unknown neighborhoods.
+        Reads the shared cache without touching it (no LRU refresh, no
+        hit/miss count), falling back to the step memos when the walk's
+        own current node has been evicted from a bounded cache — the
+        memo is what the real step will draw from.  Returns ``None`` for
+        genuinely unknown neighborhoods.
         """
-        seq = cache.neighbor_seq(node)
+        seq = cache.peek_seq(node)
         if seq is None and node == self._current:
             if self._current_seq is not None:
                 return self._current_seq
@@ -353,9 +405,10 @@ class RandomWalkSampler(abc.ABC):
         replays the overlay draw / removal / replacement branches against
         G* (returning ``None`` at the first branch that would mutate the
         overlay or depends on an unknown neighborhood).  The prediction
-        must consume **no** live RNG state and issue **no** queries.
-        The default answers ``None``: unpredictable engines simply get
-        no prefetch.
+        must consume **no** live RNG state, issue **no** queries, and
+        leave the cache untouched (pure reads only, so a bounded cache
+        evicts exactly as it would have).  The default answers ``None``:
+        unpredictable engines simply get no prefetch.
 
         Args:
             max_steps: Simulation horizon — how far through cached

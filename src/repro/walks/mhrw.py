@@ -85,7 +85,7 @@ class MetropolisHastingsWalk(RandomWalkSampler):
                 return None
             deg_u = len(cur_seq)
             proposal = cur_seq[rng.randrange(deg_u)]
-            prop_seq = cache.neighbor_seq(proposal)
+            prop_seq = cache.peek_seq(proposal)
             if prop_seq is None:
                 return proposal
             deg_v = len(prop_seq)

@@ -94,7 +94,7 @@ class NonBacktrackingWalk(RandomWalkSampler):
             if prev is not None and len(neighbors) > 1:
                 neighbors = [v for v in neighbors if v != prev]
             nxt = neighbors[rng.randrange(len(neighbors))]
-            nxt_seq = cache.neighbor_seq(nxt)
+            nxt_seq = cache.peek_seq(nxt)
             if nxt_seq is None:
                 return nxt
             prev, cur, seq = cur, nxt, nxt_seq

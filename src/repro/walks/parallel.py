@@ -245,14 +245,20 @@ class ParallelWalkers:
         draws = mirror.draw_many(currents, [s._rng for s in samplers])
         api = self._api
         latencies: List[float] = []
-        for s, nxt in zip(samplers, draws):
-            before = api.latency_spent
-            if nxt is None:
-                s._stay_fast(0)
-            else:
-                nxt_seq = api.fetch_seq(nxt)
-                s._advance_fast(nxt, len(nxt_seq), seq=nxt_seq)
-            latencies.append(api.latency_spent - before)
+        try:
+            for s, nxt in zip(samplers, draws):
+                before = api.latency_spent
+                if nxt is None:
+                    s._stay_fast(0)
+                else:
+                    nxt_seq = api.fetch_seq(nxt)
+                    s._advance_fast(nxt, len(nxt_seq), seq=nxt_seq)
+                latencies.append(api.latency_spent - before)
+        except BaseException:
+            # Chains from the failed fetch on spent a draw without a step.
+            for s in samplers:
+                s._replay_path = None
+            raise
         return latencies
 
     # ------------------------------------------------------------------

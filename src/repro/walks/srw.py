@@ -45,11 +45,19 @@ class SimpleRandomWalk(RandomWalkSampler):
                 self._stay_fast(0)
                 return self._current
             nxt = seq[self._rng.randrange(len(seq))]
-            nxt_seq = self._api.fetch_seq(nxt)
+            try:
+                nxt_seq = self._api.fetch_seq(nxt)
+            except BaseException:
+                self._replay_path = None  # a draw was spent, no step taken
+                raise
             self._advance_fast(nxt, len(nxt_seq), seq=nxt_seq)
             return nxt
         resp = self._query_current()
-        drawn = self._draw_accessible(resp.neighbor_seq)
+        try:
+            drawn = self._draw_accessible(resp.neighbor_seq)
+        except BaseException:
+            self._replay_path = None  # a draw was spent, no step taken
+            raise
         if drawn is None:
             self._stay()
             return self.current
@@ -67,6 +75,15 @@ class SimpleRandomWalk(RandomWalkSampler):
         is precisely the neighborhood the walk will pay a provider round
         trip for.  The live RNG is untouched and no queries are issued.
 
+        The replay is kept between calls (:meth:`_replay_resume`): while
+        the live walk follows the recorded path, a call re-checks the
+        recorded steps still ahead of it against the cache — each
+        neighborhood it drew from must still read the same, each node it
+        reached must still be cached — and then draws on from where the
+        last call stopped.  A neighborhood that no longer reads the same
+        (evicted or expired) starts the replay over from a fresh clone,
+        so every answer is the one a fresh full replay would give.
+
         Returns ``None`` when the future path cannot be simulated: the
         network has private users (the redraw loop consumes a
         data-dependent number of draws), the walk is parked on a dead end
@@ -76,14 +93,31 @@ class SimpleRandomWalk(RandomWalkSampler):
         if self._api.may_have_private:
             return None
         cache = self._api.cache
-        rng = self._replay_rng_clone()
-        cur = self._current
-        for _ in range(max_steps):
-            seq = self._replay_seq_of(cache, cur)
+        seq_of = self._replay_seq_of
+        has = cache.has
+        rng = self._replay_resume()
+        path, seqs, step = self._replay_path, self._replay_seqs, 0
+        while step < len(seqs):  # the recorded steps still ahead
+            if step == max_steps:
+                return None
+            seq = seq_of(cache, path[step])
+            if seq is not seqs[step] and seq != seqs[step]:
+                rng = self._replay_reset()
+                path, seqs, step = self._replay_path, self._replay_seqs, 0
+                break
+            step += 1
+            if not has(path[step]):
+                return path[step]
+        cur = path[-1]
+        while step < max_steps:
+            seq = seq_of(cache, cur)
             if not seq:
                 return None
             cur = seq[rng.randrange(len(seq))]
-            if not cache.has(cur):
+            path.append(cur)
+            seqs.append(seq)
+            step += 1
+            if not has(cur):
                 return cur
         return None
 

@@ -234,3 +234,65 @@ class TestStatePersistence:
         assert restored.get("new") == 1
         restored.advance(100.0)  # stale's old TTL must not linger
         assert restored.get("new") == 1
+
+
+class TestPeek:
+    """``peek`` reads a live value and changes nothing."""
+
+    def test_peek_returns_live_values(self):
+        kv = KeyValueStore()
+        kv.set("a", 1)
+        assert kv.peek("a") == 1
+        assert kv.peek("missing") is None
+        assert kv.peek("missing", 7) == 7
+
+    def test_peek_books_no_hits_or_misses(self):
+        kv = KeyValueStore()
+        kv.set("a", 1)
+        kv.peek("a")
+        kv.peek("b")
+        assert (kv.hits, kv.misses) == (0, 0)
+
+    def test_peek_does_not_refresh_recency(self):
+        kv = KeyValueStore(capacity=2)
+        kv.set("a", 1)
+        kv.set("b", 2)
+        kv.peek("a")
+        kv.set("c", 3)  # "a" is still the least recently used
+        assert "a" not in kv
+        assert "b" in kv
+
+    def test_peek_hides_but_keeps_expired_keys(self):
+        kv = KeyValueStore()
+        kv.set("a", 1, ttl=5)
+        kv.advance(5)
+        version = kv.version
+        assert kv.peek("a") is None
+        assert kv.version == version  # no purge
+        assert kv.get("a") is None
+        assert kv.version == version + 1  # get purges
+
+
+class TestTtlLessFastPath:
+    """Without TTL'd keys, get/contains skip the expiry check — same answers."""
+
+    def test_no_expiry_lookup_when_nothing_has_a_ttl(self, monkeypatch):
+        kv = KeyValueStore()
+        kv.set("a", 1)
+        monkeypatch.setattr(kv, "_expired", lambda key: pytest.fail("expiry checked"))
+        assert kv.get("a") == 1
+        assert kv.contains("a")
+        assert kv.get("b") is None
+        assert not kv.contains("b")
+        assert kv.peek("a") == 1
+
+    def test_mixed_ttl_store_still_expires(self):
+        kv = KeyValueStore()
+        kv.set("forever", 1)
+        kv.set("brief", 2, ttl=1)
+        kv.advance(1)
+        assert kv.get("forever") == 1
+        assert kv.contains("forever")
+        assert kv.get("brief") is None
+        assert not kv.contains("brief")
+        assert (kv.hits, kv.misses) == (1, 1)

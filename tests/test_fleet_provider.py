@@ -118,6 +118,18 @@ class TestRoutingAndBilling:
         assert api.query_cost == 1
         assert fleet.stats[fleet.shard_of(private_user)].queries == 1
 
+    def test_may_refuse_is_any_shard_refusing(self, network):
+        """Computed once at construction from the fixed shard stacks."""
+        router = ShardRouter(3, seed=1)
+        open_stack = InMemoryGraphProvider(network.graph)
+        private_stack = InMemoryGraphProvider(
+            network.graph, inaccessible=frozenset([network.seed_node(4)])
+        )
+        assert not ShardedProvider([open_stack] * 3, router).may_refuse
+        mixed = ShardedProvider([open_stack, private_stack, open_stack], router)
+        assert mixed.may_refuse
+        assert RestrictedSocialAPI(mixed).may_have_private
+
 
 class TestLatencyAndDisruption:
     def test_per_shard_latency_is_deterministic(self, network):

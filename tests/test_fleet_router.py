@@ -147,3 +147,51 @@ class TestRebalancing:
         for u in users:
             if before.shard_of(u) < 3:
                 assert after.shard_of(u) == before.shard_of(u)
+
+
+class TestMemo:
+    """``shard_of`` memoizes int and str ids; answers never change."""
+
+    @given(st.integers(1, 9), st.integers(0, 2**31), st.lists(USER_IDS, max_size=40))
+    def test_memo_equals_the_ring_lookup(self, num_shards, seed, users):
+        router = ShardRouter(num_shards, seed=seed)
+        first = [router.shard_of(u) for u in users]
+        repeat = [router.shard_of(u) for u in users]
+        raw = [router._ring_lookup(u) for u in users]
+        assert first == raw
+        assert repeat == raw
+
+    def test_repeat_lookup_is_served_from_the_memo(self):
+        router = ShardRouter(4, seed=3)
+        users = [17, "alice", ("eu", 42)]
+        shards = [router.shard_of(u) for u in users]
+        assert router._memo == {17: shards[0], "alice": shards[1]}
+        router._memo[17] = (shards[0] + 1) % 4  # a stale entry would show
+        assert router.shard_of(17) == (shards[0] + 1) % 4
+
+    def test_equal_ids_of_other_types_are_not_merged(self):
+        """``1 == 1.0 == True`` but the three encode, and route, apart."""
+        router = ShardRouter(64, seed=1)
+        router.shard_of(1)
+        for user in (1.0, True, (1,), (True,)):
+            assert router.shard_of(user) == router._ring_lookup(user)
+        assert router._memo == {1: router._ring_lookup(1)}
+
+    def test_with_shards_starts_with_an_empty_memo(self):
+        router = ShardRouter(4, seed=9)
+        users = list(range(200))
+        for u in users:
+            router.shard_of(u)
+        grown = router.with_shards(5)
+        assert grown._memo == {}
+        assert [grown.shard_of(u) for u in users] == [
+            ShardRouter(5, seed=9).shard_of(u) for u in users
+        ]
+
+    def test_state_dict_carries_no_memo(self):
+        router = ShardRouter(4, seed=9)
+        fresh_state = router.state_dict()
+        for u in range(100):
+            router.shard_of(u)
+        assert router.state_dict() == fresh_state
+        assert set(fresh_state) == {"num_shards", "seed", "weights", "points_per_shard"}
