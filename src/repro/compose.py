@@ -1,9 +1,9 @@
 """Unified composition API: declarative specs for the whole sampling stack.
 
-Before this module, standing up the full stack meant hand-threading
-keyword arguments through five layers of constructors::
+Standing up the full stack by hand means threading keyword arguments
+through five layers of constructors::
 
-    fleet = sharded_fleet(net.graph, 4, latency_distribution=..., ...)
+    fleet = ShardedProvider([...per-shard provider stacks...], ShardRouter(4))
     api = RestrictedSocialAPI(fleet, cache=..., query_budget=...)
     samplers = [SimpleRandomWalk(api, start=..., seed=...) for ...]
     planner = DispatchPlanner(lookahead=..., policy=AdaptiveChainPolicy(...))
@@ -27,10 +27,6 @@ Every spec is a frozen dataclass registered with the snapshot codec
 through any snapshot backend — the service layer persists each tenant's
 ``StackConfig`` next to its session state and rebuilds the identical
 stack in a fresh process.
-
-The legacy helpers keep working but are deprecated:
-:func:`repro.fleet.provider.sharded_fleet` now emits a
-:class:`DeprecationWarning` pointing at :class:`FleetSpec`.
 """
 
 from __future__ import annotations
@@ -92,8 +88,7 @@ WALK_ENGINES = {
 class ProviderSpec:
     """Per-shard serving behaviour (latency + flakiness layers).
 
-    Mirrors the per-shard knobs of the old ``sharded_fleet(...)`` call:
-    each shard wraps the hidden graph in an optional seeded
+    Each shard wraps the hidden graph in an optional seeded
     :class:`~repro.interface.providers.LatencyModelProvider` and an
     optional seeded :class:`~repro.interface.providers.FlakyProvider`.
     """
@@ -138,7 +133,7 @@ class FleetSpec:
     latency_quantum: float = 0.0
 
     def build(self, graph, profiles=None) -> ShardedProvider:
-        """Assemble the fleet this spec describes (was ``sharded_fleet``)."""
+        """Assemble the fleet this spec describes (see :func:`build_fleet`)."""
         return build_fleet(self, graph, profiles=profiles)
 
 

@@ -1,7 +1,7 @@
 """The paper's contribution: MTO-Sampler and its supporting theory.
 
 * :mod:`repro.core.adjacency` — the numpy-backed compact adjacency store
-  (id interning, arena rows, batched draws) mirrored by the graph and
+  (id interning, arena rows, seeded draws) mirrored by the graph and
   overlay substrates;
 * :mod:`repro.core.criteria` — the edge-manipulation theorems: the
   deterministic non-cross-cutting removal criterion (Theorem 3), its

@@ -14,24 +14,17 @@ instead:
 * **Arena rows** (:class:`CompactAdjacency`): each node's neighbor row
   lives in one shared ``int32`` buffer with capacity-doubling relocation,
   so appends are amortized O(1) and *every* row is addressable by
-  ``(start, degree)`` — which is what makes one-call batched operations
-  possible.  Insertion order is preserved exactly, removals shift-left —
-  bit-for-bit the ordering semantics of the insertion-ordered dict rows,
-  because **the ordering is the draw determinism**: a seeded walk draws
-  ``seq[rng.randrange(len(seq))]`` and any reordering changes every
-  subsequent sample.
-* **Batched draws** (:meth:`CompactAdjacency.draw_many`): one neighbor per
-  chain in a single numpy gather.  The per-chain ``random.Random``
-  draws themselves are *not* vectorized — that is the compatibility shim:
-  each chain's ``randrange(degree)`` consumes exactly the Mersenne values
-  the scalar code consumed, so replays are bit-for-bit identical; what
-  the batch removes is the per-draw dict/tuple/hash traffic, replaced by
-  one fancy-index into the arena.
-* **Batched lookups**: :meth:`degrees_many` / :meth:`row_mask` answer
-  degree and membership for a whole frontier in one call — what
+  ``(start, degree)``.  Insertion order is preserved exactly, removals
+  shift-left — bit-for-bit the ordering semantics of the
+  insertion-ordered dict rows, because **the ordering is the draw
+  determinism**: a seeded walk draws ``seq[rng.randrange(len(seq))]``
+  and any reordering changes every subsequent sample.
+* **Seeded draws** (:meth:`CompactAdjacency.draw`): one
+  ``rng.randrange(degree)`` indexed straight into the arena — the same
+  Mersenne consumption as the dict draw, without the tuple/hash traffic.
+* **Batched membership** (:meth:`CompactAdjacency.row_mask`): live-row
+  membership for a whole frontier in one call — what
   ``OverlayGraph.ensure_known_many`` runs on.
-* **CSR export** (:meth:`csr`): offsets + column-index arrays over live
-  rows for the spectral/conductance analyses.
 
 The store deliberately has no removal-of-identity: interned ids stay
 interned (other rows may reference them); a node's *row* can be dropped
@@ -98,10 +91,9 @@ class CompactAdjacency:
 
     Rows grow by relocation: when a node's row overflows its slot, the row
     is copied to the end of the arena with doubled capacity and the old
-    slot becomes dead space (bounded at ~half the arena; :meth:`csr`
-    exports compacted).  All per-node bookkeeping — row start, live
-    degree, slot capacity — is flat int64 arrays, so batched degree and
-    membership lookups are single fancy-index reads.
+    slot becomes dead space (bounded at ~half the arena).  All per-node
+    bookkeeping — row start, live degree, slot capacity — is flat int64
+    arrays, so a batched membership lookup is a single fancy-index read.
 
     Not thread-safe; mirrors exactly one authoritative dict structure
     (``Graph._adj`` or ``OverlayGraph._known``) and must be mutated in
@@ -284,97 +276,16 @@ class CompactAdjacency:
         return self._interner.node(int(self._flat[self._start[idx] + j]))
 
     # ------------------------------------------------------------------
-    # batched reads — the vectorized lane
+    # batched reads
     # ------------------------------------------------------------------
-    def _indexes(self, nodes: Sequence[Node]) -> np.ndarray:
+    def row_mask(self, nodes: Sequence[Node]) -> np.ndarray:
+        """Boolean live-row membership for a whole batch, one call."""
         index = self._interner.index
-        return np.fromiter(
+        idxs = np.fromiter(
             ((i if (i := index(n)) is not None else -1) for n in nodes),
             dtype=np.int64,
             count=len(nodes),
         )
-
-    def row_mask(self, nodes: Sequence[Node]) -> np.ndarray:
-        """Boolean live-row membership for a whole batch, one call."""
-        idxs = self._indexes(nodes)
         mask = idxs >= 0
         mask[mask] = self._deg[idxs[mask]] != _NO_ROW
         return mask
-
-    def degrees_many(self, nodes: Sequence[Node]) -> np.ndarray:
-        """Row lengths for a batch; ``-1`` marks a missing row."""
-        idxs = self._indexes(nodes)
-        out = np.full(len(idxs), _NO_ROW, dtype=np.int64)
-        known = idxs >= 0
-        out[known] = self._deg[idxs[known]]
-        return out
-
-    def draw_many(
-        self, nodes: Sequence[Node], rngs: Sequence[random.Random]
-    ) -> List[Optional[Node]]:
-        """One uniform neighbor draw per ``(node, rng)`` pair.
-
-        The compatibility shim: chain ``i``'s pick index is
-        ``rngs[i].randrange(degree_i)`` — the *same* Mersenne consumption
-        as ``len(rngs)`` scalar draws, in list order, so serial replays
-        are bit-for-bit identical.  The picks then resolve through a
-        single numpy gather instead of per-chain tuple indexing and
-        hashing.  Empty rows yield ``None`` and consume no RNG.
-
-        Raises:
-            KeyError: If any node has no live row.
-        """
-        idxs = self._indexes(nodes)
-        if len(idxs) == 0:
-            return []
-        if (idxs < 0).any() or (self._deg[idxs] == _NO_ROW).any():
-            bad = next(n for n in nodes if not self.has_row(n))
-            raise KeyError(bad)
-        degs = self._deg[idxs]
-        offs = np.fromiter(
-            ((rng.randrange(int(k)) if k else 0) for rng, k in zip(rngs, degs)),
-            dtype=np.int64,
-            count=len(idxs),
-        )
-        picked = self._flat[self._start[idxs] + offs]  # the one gather
-        node_of = self._interner.node
-        return [
-            node_of(int(p)) if k else None for p, k in zip(picked, degs)
-        ]
-
-    # ------------------------------------------------------------------
-    # export
-    # ------------------------------------------------------------------
-    def nodes_with_rows(self) -> Tuple[Node, ...]:
-        """Ids with live rows, in intern (first-seen) order."""
-        node_of = self._interner.node
-        live = np.nonzero(self._deg[: len(self._interner)] != _NO_ROW)[0]
-        return tuple(node_of(int(i)) for i in live)
-
-    def csr(self) -> Tuple[Tuple[Node, ...], np.ndarray, np.ndarray]:
-        """Compacted CSR view over live rows.
-
-        Returns:
-            ``(nodes, offsets, columns)``: ``nodes`` are the live-row ids
-            in intern order; ``offsets`` is ``int64`` of length
-            ``len(nodes) + 1``; ``columns`` is ``int32`` of summed row
-            lengths, where column values are *intern indexes* (positions
-            in the full interner, resolvable via the interner even for
-            neighbors that have no row of their own).
-        """
-        n = len(self._interner)
-        live = np.nonzero(self._deg[:n] != _NO_ROW)[0]
-        degs = self._deg[live]
-        offsets = np.zeros(len(live) + 1, dtype=np.int64)
-        np.cumsum(degs, out=offsets[1:])
-        columns = np.empty(int(offsets[-1]), dtype=np.int32)
-        for out_pos, idx in enumerate(live):
-            start, deg = int(self._start[idx]), int(self._deg[idx])
-            columns[offsets[out_pos] : offsets[out_pos + 1]] = self._flat[start : start + deg]
-        node_of = self._interner.node
-        return tuple(node_of(int(i)) for i in live), offsets, columns
-
-    @property
-    def interner(self) -> NodeInterner:
-        """The id interner (shared vocabulary for csr column values)."""
-        return self._interner

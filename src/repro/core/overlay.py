@@ -79,7 +79,7 @@ class OverlayGraph:
         # node -> insertion-ordered neighbor index (dict keys as ordered set)
         self._known: Dict[Node, Dict[Node, None]] = {}
         # Int-interned arena mirror of _known, mutated in lockstep: serves
-        # neighbor tuples, seeded draws, and the batched lanes (a row
+        # neighbor tuples, seeded draws, and batched membership (a row
         # exists exactly for materialized nodes).
         self._compact = CompactAdjacency()
         self._removed: Dict[Node, Set[Node]] = {}
@@ -198,30 +198,6 @@ class OverlayGraph:
             return self._compact.draw(node, rng)
         except KeyError:
             raise WalkError(f"node {node!r} not materialized in overlay") from None
-
-    def draw_many(
-        self, nodes, rngs
-    ) -> "list[Optional[Node]]":
-        """One uniform draw per ``(node, rng)`` pair — see
-        :meth:`repro.core.adjacency.CompactAdjacency.draw_many`.
-
-        Raises:
-            WalkError: If any node has not been materialized.
-        """
-        try:
-            return self._compact.draw_many(nodes, rngs)
-        except KeyError as exc:
-            raise WalkError(
-                f"node {exc.args[0]!r} not materialized in overlay"
-            ) from None
-
-    def known_mask(self, nodes):
-        """Boolean is-materialized for a batch of ids, one call."""
-        return self._compact.row_mask(nodes)
-
-    def known_degrees_many(self, nodes):
-        """Overlay degrees for a batch; ``-1`` marks unmaterialized ids."""
-        return self._compact.degrees_many(nodes)
 
     def degree(self, node: Node) -> int:
         """Overlay degree ``k*_node`` of a materialized node.

@@ -9,7 +9,7 @@ rate limits, and outages — exactly the regime where the follow-up papers
 wins, because a scheduler that understands fleet structure can overlap
 and coalesce work per shard instead of paying one latency draw per fetch.
 
-Three pieces live here:
+Two pieces live here:
 
 * :class:`~repro.fleet.router.ShardRouter` — a deterministic, seeded
   consistent-hash ring mapping user ids to shards.  The map is a pure
@@ -21,9 +21,10 @@ Three pieces live here:
   user's fetch to a per-shard provider stack (its own latency model /
   flaky retries, composed from the existing PR-3 providers), applies
   seeded per-shard outage/degradation schedules, and keeps per-shard
-  accounting (queries, latency spent, retries, burst depth);
-* :func:`~repro.fleet.provider.sharded_fleet` — a builder that composes
-  the standard in-memory → latency → flaky stack for every shard.
+  accounting (queries, latency spent, retries, burst depth).
+
+:class:`repro.compose.FleetSpec` composes the standard in-memory →
+latency → flaky stack for every shard from one declarative value.
 
 On top of the fleet, :class:`~repro.walks.scheduler.EventDrivenWalkers`
 grows batch-aware dispatch (``batching=True``): same-tick dispatches
@@ -38,7 +39,6 @@ from repro.fleet.provider import (
     ShardStats,
     ShardedProvider,
     find_fleet,
-    sharded_fleet,
 )
 from repro.fleet.router import ShardRouter
 from repro.fleet.disruption import DisruptionSchedule
@@ -50,5 +50,4 @@ __all__ = [
     "ShardStats",
     "ShardedProvider",
     "find_fleet",
-    "sharded_fleet",
 ]

@@ -15,9 +15,8 @@ the spectral/conductance analyses read it.  Design points:
   shadows the dict rows in lockstep: interned int32 ids, arena-backed
   rows in identical insertion order, cached id-tuples.  The dicts stay
   authoritative for membership and set-view intersections; the mirror
-  serves ``neighbors_seq``, uniform draws, and the batched lanes
-  (``draw_many`` / ``degrees_many`` / ``known_mask`` / ``csr``) without
-  per-step Python object traffic.
+  serves ``neighbors_seq`` and uniform draws without per-step Python
+  object traffic.
 * **Hashable node ids.**  Nodes can be ints, strings, or any hashable;
   generators use dense ints, dataset stand-ins use opaque user ids.
 """
@@ -32,9 +31,7 @@ from typing import (
     Hashable,
     Iterable,
     Iterator,
-    List,
     Optional,
-    Sequence,
     Set,
     Tuple,
 )
@@ -82,7 +79,7 @@ class Graph:
         # ordered set: O(1) membership, deterministic iteration).
         self._adj: Dict[Node, Dict[Node, None]] = {}
         # Int-interned arena mirror, mutated in lockstep with _adj: serves
-        # neighbor tuples, seeded draws, and the batched numpy lanes.
+        # neighbor tuples and seeded draws.
         self._compact = CompactAdjacency()
         self._num_edges = 0
         if edges is not None:
@@ -271,37 +268,6 @@ class Graph:
             return self._compact.draw(node, rng)
         except KeyError:
             raise NodeNotFoundError(node) from None
-
-    def draw_many(
-        self, nodes: Sequence[Node], rngs: Sequence[random.Random]
-    ) -> List[Optional[Node]]:
-        """One uniform neighbor draw per ``(node, rng)`` pair, one gather.
-
-        Bit-for-bit equal to calling :meth:`random_neighbor` per pair in
-        list order — each rng consumes exactly one ``randrange(degree)``
-        (none for isolated nodes) — with the neighbor resolution done in
-        a single numpy fancy-index instead of per-pair tuple traffic.
-
-        Raises:
-            NodeNotFoundError: If any node does not exist.
-        """
-        try:
-            return self._compact.draw_many(nodes, rngs)
-        except KeyError as exc:
-            raise NodeNotFoundError(exc.args[0]) from None
-
-    def degrees_many(self, nodes: Sequence[Node]):
-        """Degrees for a batch in one call; ``-1`` marks unknown nodes."""
-        return self._compact.degrees_many(nodes)
-
-    def known_mask(self, nodes: Sequence[Node]):
-        """Boolean membership for a batch of ids in one call."""
-        return self._compact.row_mask(nodes)
-
-    def csr(self):
-        """Compact CSR export ``(nodes, offsets, columns)`` — see
-        :meth:`repro.core.adjacency.CompactAdjacency.csr`."""
-        return self._compact.csr()
 
     def degree(self, node: Node) -> int:
         """``k_node = |N(node)|``.

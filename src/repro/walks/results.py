@@ -1,12 +1,10 @@
 """One result shape for every walk engine.
 
-Historically :class:`~repro.walks.parallel.ParallelWalkers` and
-:class:`~repro.walks.scheduler.EventDrivenWalkers` returned structurally
-different records (``merged``/``query_cost`` here, extra batch fields
-there), so any code consuming a run — telemetry reporting, experiments,
-the service layer — had to special-case which engine produced it.
-
-:class:`RunResult` is the shared protocol both engines now return:
+:class:`RunResult` is the shared protocol both
+:class:`~repro.walks.parallel.ParallelWalkers` and
+:class:`~repro.walks.scheduler.EventDrivenWalkers` return, so code
+consuming a run — telemetry reporting, experiments, the service layer —
+never special-cases which engine produced it:
 
 * ``samples`` — all chains' samples interleaved in collection order
   (completion order under the event-driven scheduler; at zero latency the
@@ -18,16 +16,11 @@ the service layer — had to special-case which engine produced it.
 * ``chain_steps`` — per-chain committed step counts;
 * ``telemetry`` — the full
   :class:`~repro.interface.telemetry.InterfaceTelemetry` capture.
-
-The old spellings (``merged``, ``query_cost``) keep working as read-only
-properties but emit :class:`DeprecationWarning` naming the canonical
-field; internal code and ``examples/`` are linted clean of them.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import warnings
 from typing import Dict, List, Optional, Tuple
 
 from repro.interface.telemetry import InterfaceTelemetry, ShardTelemetry
@@ -66,29 +59,6 @@ class RunResult:
     latency_spent: float = 0.0
     chain_steps: Optional[Tuple[int, ...]] = None
     telemetry: Optional[InterfaceTelemetry] = None
-
-    # -- deprecated spellings -----------------------------------------
-    @property
-    def merged(self) -> List[WalkSample]:
-        """Deprecated alias for :attr:`samples`."""
-        warnings.warn(
-            "RunResult.merged is deprecated; read RunResult.samples "
-            "(see repro.walks.results)",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return self.samples
-
-    @property
-    def query_cost(self) -> int:
-        """Deprecated alias for :attr:`queries`."""
-        warnings.warn(
-            "RunResult.query_cost is deprecated; read RunResult.queries "
-            "(see repro.walks.results)",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return self.queries
 
 
 @dataclasses.dataclass

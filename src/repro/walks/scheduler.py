@@ -609,7 +609,6 @@ class EventDrivenWalkers:
         thinning: int = 1,
         check_every: int = 25,
         max_steps: int = 250_000,
-        executor=None,
     ) -> EventDrivenRun:
         """Burn in until R̂ converges, then collect by completion time.
 
@@ -630,74 +629,52 @@ class EventDrivenWalkers:
             check_every: Burn-in rounds between R̂ evaluations (grows
                 geometrically, like the lock-step driver).
             max_steps: Per-chain step budget for the burn-in phase.
-            executor: Optional
-                :class:`~repro.walks.executor.MultiprocessChainExecutor`.
-                At zero provider latency this scheduler's collection loop
-                *is* lock-step round-robin (see :meth:`_run_collect`), so
-                its ``thinning``-round step blocks can run in worker
-                processes with queries replayed here for identical
-                billing.  Executor runs require a fresh scheduler (no
-                mid-flight restore), no fleet, no planner, and no
-                checkpoint hook; burn-in stays serial.
+
+        Returns:
+            An :class:`~repro.walks.results.EventDrivenRun`; each chain's
+            ``burn_in_steps`` is the number of burn-in rounds it stepped
+            before the monitor declared convergence.
 
         Raises:
             ValueError: On non-positive ``num_samples``/``thinning``.
-            WalkError: If ``executor`` is given but this scheduler's
-                configuration violates its equivalence restrictions.
         """
         if num_samples <= 0:
             raise ValueError("num_samples must be positive")
         if thinning <= 0:
             raise ValueError("thinning must be positive")
-        if executor is not None:
-            executor.check_compatible(self._samplers, self._api)
-            if self._phase != PHASE_FRESH:
-                raise WalkError(
-                    "a multiprocess executor needs a fresh scheduler: restored "
-                    "mid-flight state may not sit on a round boundary"
-                )
-            if self._fleet is not None or self._planner is not None:
-                raise WalkError(
-                    "multiprocess execution composes with neither fleet dispatch "
-                    "nor an adaptive planner; build the scheduler without them"
-                )
-            if self._checkpoint_fn is not None:
-                raise WalkError(
-                    "event checkpoints cannot fire inside executor step blocks; "
-                    "clear_checkpoint() before running with an executor"
-                )
         if self._fleet is not None:
-            # Tracing is scoped to the run so an api outliving this
-            # scheduler never accumulates an undrained dispatch log.
+            # Tracing is scoped to the run — failed runs included — so an
+            # api outliving this scheduler never accumulates an undrained
+            # dispatch log.
             self._fleet.trace_dispatches(True)
-        if self._phase == PHASE_FRESH:
-            if monitor is not None:
-                self._phase = PHASE_BURNIN
-                for i in range(len(self._samplers)):
-                    self._push(i, self._ready[i])
-            else:
+        try:
+            if self._phase == PHASE_FRESH:
+                if monitor is not None:
+                    self._phase = PHASE_BURNIN
+                    for i in range(len(self._samplers)):
+                        self._push(i, self._ready[i])
+                else:
+                    self._begin_collect(thinning)
+            if self._phase == PHASE_BURNIN:
+                if monitor is None:
+                    raise WalkError(
+                        "this scheduler is mid-burn-in (e.g. restored from a checkpoint); "
+                        "run() needs the same monitor the original run used"
+                    )
+                if self._fleet is not None:
+                    self._run_burnin_batched(monitor, check_every, max_steps)
+                else:
+                    self._run_burnin(monitor, check_every, max_steps)
                 self._begin_collect(thinning)
-        if self._phase == PHASE_BURNIN:
-            if monitor is None:
-                raise WalkError(
-                    "this scheduler is mid-burn-in (e.g. restored from a checkpoint); "
-                    "run() needs the same monitor the original run used"
-                )
+            if self._phase == PHASE_COLLECT:
+                if self._fleet is not None:
+                    self._run_collect_batched(num_samples, thinning)
+                else:
+                    self._run_collect(num_samples, thinning)
+                self._phase = PHASE_DONE
+        finally:
             if self._fleet is not None:
-                self._run_burnin_batched(monitor, check_every, max_steps)
-            else:
-                self._run_burnin(monitor, check_every, max_steps)
-            self._begin_collect(thinning)
-        if self._phase == PHASE_COLLECT:
-            if executor is not None:
-                self._run_collect_executor(num_samples, thinning, executor)
-            elif self._fleet is not None:
-                self._run_collect_batched(num_samples, thinning)
-            else:
-                self._run_collect(num_samples, thinning)
-            self._phase = PHASE_DONE
-        if self._fleet is not None:
-            self._fleet.trace_dispatches(False)
+                self._fleet.trace_dispatches(False)
         return self._result(monitor)
 
     def _run_burnin(
@@ -810,45 +787,6 @@ class EventDrivenWalkers:
                 self._ready[chain] = when + latency
             self._push(chain, self._ready[chain])
             self._event_committed()
-
-    def _run_collect_executor(self, num_samples: int, thinning: int, executor) -> None:
-        """Collection via worker-process step blocks (zero-latency only).
-
-        At zero latency the event loop above degenerates to lock-step
-        round-robin with uniform ``_since`` counters — rounds are all-
-        sample or all-step, and the per-chain quota binds only in the
-        final sample round, where the global quota ends collection anyway
-        (a sample round adds at most ``k`` samples and ``num_samples <=
-        quota * k``).  Collection therefore decomposes into sample rounds
-        separated by ``thinning``-round step blocks, which the executor
-        runs out-of-process, replaying each block's logical queries here
-        so the §II-B log and every sample's ``query_cost`` match the
-        serial event loop exactly.  The event counter advances one commit
-        per chain action, same as the serial loop.
-        """
-        while len(self._merged) < num_samples:
-            for chain, sampler in enumerate(self._samplers):
-                if len(self._merged) >= num_samples:
-                    break
-                sample = WalkSample(
-                    node=sampler.current,
-                    weight=sampler.weight(sampler.current),
-                    query_cost=self._api.query_cost,
-                    step=sampler.steps,
-                )
-                self._merged.append(sample)
-                self._merged_chain.append(chain)
-                self._since[chain] = 0
-                if self._recorder is not None:
-                    self._record_sample(chain, self._sim_time)
-                self._event_committed()
-            if len(self._merged) >= num_samples:
-                break
-            executor.step_rounds(self._samplers, self._api, thinning)
-            for chain in range(len(self._samplers)):
-                self._since[chain] += thinning
-                for _ in range(thinning):
-                    self._event_committed()
 
     # ------------------------------------------------------------------
     # the batch-coalescing event loop (fleet dispatch)
@@ -1479,7 +1417,7 @@ class EventDrivenWalkers:
         per_chain = [
             SamplingRun(
                 samples=per_chain_samples[i],
-                burn_in_steps=0,
+                burn_in_steps=self._burn_rounds[i],
                 total_steps=self._samplers[i].steps,
                 query_cost=self._api.query_cost,
                 converged=monitor is None

@@ -23,8 +23,8 @@ import pytest
 from repro.convergence.gelman_rubin import GelmanRubinDiagnostic
 from repro.datasets import load
 from repro.datastore.snapshot import JsonLinesBackend, KeyValueBackend
-from repro.compose import FleetSpec, ProviderSpec, build_fleet
-from repro.errors import WalkError
+from repro.compose import FleetSpec, ProviderSpec, StackConfig, WalkSpec, build_fleet, build_stack
+from repro.errors import QueryBudgetExhaustedError, WalkError
 from repro.interface import RestrictedSocialAPI, SamplingSession
 from repro.walks import EventDrivenWalkers, ParallelWalkers, SimpleRandomWalk
 
@@ -180,6 +180,22 @@ class TestFleetEquivalence:
         assert run.retries > 0
         assert set(run.shards) == {0, 1, 2, 3}
         assert sum(r.queries for r in run.shards.values()) == api.query_cost
+
+
+class TestRunScopedTracing:
+    def test_failed_run_turns_dispatch_tracing_off(self, network):
+        """A run that raises must not leave the shared fleet tracing.
+
+        Otherwise every later fetch through the fleet — here a plain
+        reader's — piles up a dispatch record nobody drains.
+        """
+        stack = build_stack(StackConfig(walk=WalkSpec(chains=4, seed=2), query_budget=20), network)
+        with pytest.raises(QueryBudgetExhaustedError):
+            stack.run(num_samples=200)
+        reader = RestrictedSocialAPI(stack.fleet)
+        for user in list(network.graph.nodes())[:300]:
+            reader.query(user)
+        assert stack.fleet.drain_dispatches() == ()
 
 
 class TestFleetCheckpointing:

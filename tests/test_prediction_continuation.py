@@ -30,7 +30,6 @@ from repro.interface.cache import NeighborhoodCache
 from repro.interface.providers import InMemoryGraphProvider
 from repro.walks.mhrw import MetropolisHastingsWalk
 from repro.walks.nbrw import NonBacktrackingWalk
-from repro.walks.parallel import ParallelWalkers
 from repro.walks.srw import SimpleRandomWalk
 
 
@@ -201,31 +200,6 @@ class TestContinuationMatchesFullReplay:
         assert api.cache.has(1) and api.cache.peek_seq(1) is None
         assert full_clone_replay(walk, 64) is None
         assert walk.predict_next_fetch() is None
-
-    def test_failed_vectorized_round_restarts_every_chain(self):
-        """A lock-step round draws for every chain before it fetches.
-
-        When a fetch fails mid-round, the chains after it have spent a
-        draw without stepping, so their next prediction must start over.
-        """
-        g = Graph()
-        g.add_edges((v, (v + 1) % 30) for v in range(30))
-        g.add_edges((v, (v + 4) % 30) for v in range(30))
-        provider = _FailOnDemand(g)
-        api = RestrictedSocialAPI(provider)
-        chains = [SimpleRandomWalk(api, start=3 * i, seed=i) for i in range(4)]
-        group = ParallelWalkers(chains, vectorized=True)
-        for _ in range(12):
-            for c in chains:
-                assert c.predict_next_fetch() == full_clone_replay(c, 64)
-            provider.fail_next = True
-            try:
-                group.step_all()
-            except ProviderTimeoutError:
-                pass
-            provider.fail_next = False
-        for c in chains:
-            assert c.predict_next_fetch() == full_clone_replay(c, 64)
 
     def test_shared_stream_is_recloned_every_call(self):
         """A caller-owned RNG may be drawn elsewhere between calls."""

@@ -115,6 +115,23 @@ class TestZeroLatencyEquivalence:
         assert event_overlay.replacement_count == lock_overlay.replacement_count
         assert event_overlay.state_dict() == lock_overlay.state_dict()
 
+    @pytest.mark.parametrize("driver", [ParallelWalkers, EventDrivenWalkers])
+    def test_burn_in_steps_count_monitor_rounds(self, network, driver):
+        def burn_in(make):
+            run = make(_srw_chains(network, network.interface(), 3)).run(
+                num_samples=30, monitor=GelmanRubinDiagnostic(threshold=1.2)
+            )
+            # Each chain steps once per burn-in round and samples first.
+            assert [c.burn_in_steps for c in run.per_chain] == [
+                c.samples[0].step for c in run.per_chain
+            ]
+            return [c.burn_in_steps for c in run.per_chain]
+
+        other = EventDrivenWalkers if driver is ParallelWalkers else ParallelWalkers
+        rounds = burn_in(driver)
+        assert min(rounds) > 0
+        assert rounds == burn_in(other)
+
     def test_per_chain_runs_match(self, network):
         lock_run = ParallelWalkers(_srw_chains(network, network.interface())).run(num_samples=30)
         event_run = EventDrivenWalkers(_srw_chains(network, network.interface())).run(
