@@ -251,8 +251,8 @@ class CompactAdjacency:
         seq = self._seq_cache.get(idx)
         if seq is None:
             start, deg = int(self._start[idx]), int(self._deg[idx])
-            node_of = self._interner.node
-            seq = tuple(node_of(int(i)) for i in self._flat[start : start + deg])
+            nodes = self._interner._nodes
+            seq = tuple([nodes[i] for i in self._flat[start : start + deg].tolist()])
             self._seq_cache[idx] = seq
         return seq
 

@@ -12,12 +12,26 @@ from typing import Callable, Dict, Hashable, Iterator, List, Mapping, Optional
 
 from repro.errors import DataStoreError, DocumentNotFoundError
 
+#: Immutable scalar types: a document holding only these (as keys and
+#: values) shares nothing mutable, so a shallow copy isolates it.
+_SCALARS = frozenset({int, float, str, bool, type(None)})
+
+
+def _copy_doc(doc: dict) -> dict:
+    """A copy of ``doc`` sharing no mutable object with it."""
+    for key, value in doc.items():
+        if type(value) not in _SCALARS or type(key) not in _SCALARS:
+            return copy.deepcopy(doc)
+    return dict(doc)
+
 
 class DocumentStore:
     """Collection of documents keyed by id.
 
-    Documents are stored by deep copy and returned by deep copy, so callers
-    can never corrupt the store through shared references (matching the
+    Documents are stored by deep copy and returned by a copy that shares
+    no mutable object with the store (a shallow copy when every field is
+    an immutable scalar, a deep copy otherwise), so callers can never
+    corrupt the store through shared references (matching the
     serialization boundary a real document database imposes).
     """
 
@@ -56,14 +70,14 @@ class DocumentStore:
             DocumentNotFoundError: If ``doc_id`` is absent.
         """
         try:
-            return copy.deepcopy(self._docs[doc_id])
+            return _copy_doc(self._docs[doc_id])
         except KeyError:
             raise DocumentNotFoundError(doc_id) from None
 
     def get_or_none(self, doc_id: Hashable) -> Optional[dict]:
         """Fetch a document copy or ``None`` if absent."""
         doc = self._docs.get(doc_id)
-        return copy.deepcopy(doc) if doc is not None else None
+        return _copy_doc(doc) if doc is not None else None
 
     def delete(self, doc_id: Hashable) -> bool:
         """Remove a document; returns whether it existed."""
@@ -92,7 +106,7 @@ class DocumentStore:
         out = []
         for doc in self._docs.values():
             if all(doc.get(field) == value for field, value in equals.items()):
-                out.append(copy.deepcopy(doc))
+                out.append(_copy_doc(doc))
         return out
 
     def find_where(self, predicate: Callable[[dict], bool]) -> List[dict]:
@@ -101,7 +115,7 @@ class DocumentStore:
         The predicate receives the *stored* document (not a copy) for speed;
         it must not mutate it.  Matches are returned as copies.
         """
-        return [copy.deepcopy(d) for d in self._docs.values() if predicate(d)]
+        return [_copy_doc(d) for d in self._docs.values() if predicate(d)]
 
     def count(self, predicate: Optional[Callable[[dict], bool]] = None) -> int:
         """Number of documents, optionally filtered by ``predicate``."""

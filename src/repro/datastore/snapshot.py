@@ -60,6 +60,25 @@ def _canonical(encoded: object) -> str:
     return json.dumps(encoded, sort_keys=True, separators=(",", ":"))
 
 
+_encode_str = json.encoder.encode_basestring_ascii
+
+
+def canonical_key(value: object) -> str:
+    """``_canonical(encode_value(value))``: a process-stable string key.
+
+    Routing and per-user seeding hash user ids through this key, never
+    Python's salted ``hash``.  Exact ``int`` and ``str`` ids — the common
+    case — build the same bytes directly instead of through a JSON
+    encode; every other type (``bool`` included) takes the general path.
+    """
+    kind = type(value)
+    if kind is int:
+        return '["i",%d]' % value
+    if kind is str:
+        return '["s",' + _encode_str(value) + "]"
+    return _canonical(encode_value(value))
+
+
 #: Registered extension codecs: exact type -> (tag, to-primitives function).
 _EXTENSION_ENCODERS: Dict[type, Tuple[str, Callable[[object], object]]] = {}
 #: Registered extension codecs: tag -> from-primitives function.

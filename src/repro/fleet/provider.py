@@ -26,12 +26,10 @@ import dataclasses
 import math
 from typing import Dict, Hashable, List, Optional, Sequence, Tuple, Union
 
-from repro.errors import PrivateUserError
+from repro.errors import PrivateUserError, ProviderTimeoutError
 from repro.fleet.disruption import DisruptionSchedule
 from repro.fleet.router import ShardRouter
-from repro.interface.providers import (
-    SocialProvider,
-)
+from repro.interface.providers import ProviderFetch, SocialProvider
 from repro.obs.trace import EVENT_FETCH, EVENT_RETRY, TraceRecorder
 
 Node = Hashable
@@ -316,17 +314,18 @@ class ShardedProvider(SocialProvider):
         stats.queries += 1
         try:
             fetched = self._shards[shard].fetch(user)  # refusals propagate billed
-        except PrivateUserError:
+        except (PrivateUserError, ProviderTimeoutError) as exc:
             if self._recorder is not None:
-                # A refusal consumed a shard request (stats.queries above)
-                # but no latency/retry books — the audit replays it from
-                # this zero-latency mark.
+                # A refused or abandoned fetch consumed a shard request
+                # (stats.queries above) but no latency/retry books — the
+                # audit replays it from this zero-latency mark.
+                outcome = "refused" if isinstance(exc, PrivateUserError) else "abandoned"
                 self._recorder.record(
                     EVENT_FETCH,
                     self._recorder.hinted_clock,
                     shard=shard,
                     user=user,
-                    refused=True,
+                    **{outcome: True},
                 )
             raise
         latency = fetched.latency
@@ -377,7 +376,14 @@ class ShardedProvider(SocialProvider):
                 )
                 recorder.count("fleet.retries", fetched.attempts - 1)
         if latency != fetched.latency:
-            fetched = dataclasses.replace(fetched, latency=latency)
+            fetched = ProviderFetch(
+                user=fetched.user,
+                neighbor_seq=fetched.neighbor_seq,
+                attributes=fetched.attributes,
+                latency=latency,
+                attempts=fetched.attempts,
+                wasted_latency=fetched.wasted_latency,
+            )
         return fetched
 
     def user_count(self) -> int:

@@ -25,7 +25,7 @@ import bisect
 import zlib
 from typing import Dict, Hashable, List, Optional, Sequence, Tuple
 
-from repro.datastore.snapshot import _canonical, encode_value
+from repro.datastore.snapshot import canonical_key
 from repro.errors import SnapshotError
 
 Node = Hashable
@@ -120,7 +120,7 @@ class ShardRouter:
 
     def _ring_lookup(self, user: Node) -> int:
         """The ring walk behind :meth:`shard_of`, never memoized."""
-        h = _stable_hash(f"{self._seed}:user:{_canonical(encode_value(user))}")
+        h = _stable_hash(f"{self._seed}:user:{canonical_key(user)}")
         idx = bisect.bisect_left(self._points, h)
         if idx == len(self._points):  # wrap past the last ring point
             idx = 0

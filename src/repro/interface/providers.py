@@ -44,7 +44,7 @@ import zlib
 from typing import Dict, Hashable, Optional, Tuple
 
 from repro.datastore.documents import DocumentStore
-from repro.datastore.snapshot import _canonical, encode_value
+from repro.datastore.snapshot import canonical_key
 from repro.errors import PrivateUserError, ProviderTimeoutError, UnknownUserError
 from repro.graph.adjacency import Graph
 
@@ -190,7 +190,7 @@ def _stable_user_seed(seed: int, user: Node) -> int:
     latency stream is anchored on the snapshot codec's canonical encoding
     instead — identical across runs and machines for any snapshotable id.
     """
-    key = f"{seed}:{_canonical(encode_value(user))}"
+    key = f"{seed}:{canonical_key(user)}"
     return zlib.crc32(key.encode("utf-8"))
 
 
@@ -245,6 +245,8 @@ class LatencyModelProvider(SocialProvider):
         self._alpha = float(alpha)
         # user -> drawn latency; pure function of (seed, user), memoized.
         self._drawn: Dict[Node, float] = {}
+        # Reseeded per user: ``.seed(s)`` yields the stream ``Random(s)`` does.
+        self._rng = random.Random(0)
 
     @property
     def inner(self) -> SocialProvider:
@@ -260,13 +262,15 @@ class LatencyModelProvider(SocialProvider):
         """The deterministic latency every fetch of ``user`` incurs."""
         latency = self._drawn.get(user)
         if latency is None:
-            rng = random.Random(_stable_user_seed(self._seed, user))
             if self._distribution == "constant":
                 latency = self._scale
-            elif self._distribution == "uniform":
-                latency = rng.uniform(0.0, 2.0 * self._scale)
-            else:  # heavy_tailed
-                latency = self._scale * rng.paretovariate(self._alpha)
+            else:
+                rng = self._rng
+                rng.seed(_stable_user_seed(self._seed, user))
+                if self._distribution == "uniform":
+                    latency = rng.uniform(0.0, 2.0 * self._scale)
+                else:  # heavy_tailed
+                    latency = self._scale * rng.paretovariate(self._alpha)
             self._drawn[user] = latency
         return latency
 
@@ -275,7 +279,14 @@ class LatencyModelProvider(SocialProvider):
 
     def fetch(self, user: Node) -> ProviderFetch:
         fetched = self._inner.fetch(user)
-        return dataclasses.replace(fetched, latency=fetched.latency + self.latency_of(user))
+        return ProviderFetch(
+            user=fetched.user,
+            neighbor_seq=fetched.neighbor_seq,
+            attributes=fetched.attributes,
+            latency=fetched.latency + self.latency_of(user),
+            attempts=fetched.attempts,
+            wasted_latency=fetched.wasted_latency,
+        )
 
     def user_count(self) -> int:
         return self._inner.user_count()
@@ -392,8 +403,10 @@ class FlakyProvider(SocialProvider):
                 wasted += self._timeout_latency
                 continue
             fetched = self._inner.fetch(user)  # refusals propagate un-retried
-            return dataclasses.replace(
-                fetched,
+            return ProviderFetch(
+                user=fetched.user,
+                neighbor_seq=fetched.neighbor_seq,
+                attributes=fetched.attributes,
                 latency=fetched.latency + wasted,
                 attempts=attempt,
                 wasted_latency=fetched.wasted_latency + wasted,

@@ -152,7 +152,9 @@ def reconcile_fleet(
         if event.name == EVENT_FETCH:
             shard = event.attrs["shard"]
             queries[shard] = queries.get(shard, 0) + 1
-            if not event.attrs.get("refused"):
+            # Refused and abandoned fetches are zero-latency marks: a
+            # shard request with no latency or retry books.
+            if not (event.attrs.get("refused") or event.attrs.get("abandoned")):
                 latency[shard] = latency.get(shard, 0.0) + event.attrs["latency"]
                 extra = max(0, event.attrs["attempts"] - 1)
                 if extra:

@@ -388,7 +388,7 @@ def attribute_run(
         if name == EVENT_FETCH:
             if not _matches_tenant(event, tenant):
                 continue
-            if not event.attrs.get("refused"):
+            if not (event.attrs.get("refused") or event.attrs.get("abandoned")):
                 shard = event.attrs["shard"]
                 latency = event.attrs["latency"]
                 latency_by_shard[shard] = latency_by_shard.get(shard, 0.0) + latency

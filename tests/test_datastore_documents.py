@@ -4,6 +4,25 @@ import pytest
 
 from repro.datastore import DocumentStore
 from repro.errors import DataStoreError, DocumentNotFoundError
+from repro.graph.adjacency import Graph
+from repro.interface import InMemoryGraphProvider
+
+FLAT_DOC = {"user_id": 1, "age": 31.5, "name": "alice", "active": True, "bio": None}
+NESTED_DOC = {"user_id": 1, "tags": ["a", "b"]}
+
+READERS = {
+    "get_or_none": lambda store: store.get_or_none(1),
+    "get": lambda store: store.get(1),
+    "provider_fetch": lambda store: InMemoryGraphProvider(_one_node_graph(), store).fetch(1).attributes,
+    "find": lambda store: store.find(user_id=1)[0],
+    "find_where": lambda store: store.find_where(lambda d: True)[0],
+}
+
+
+def _one_node_graph():
+    graph = Graph()
+    graph.add_node(1)
+    return graph
 
 
 class TestCrud:
@@ -72,6 +91,22 @@ class TestIsolation:
         fetched = store.get(1)
         fetched["tags"].append("b")
         assert store.get(1)["tags"] == ["a"]
+
+    @pytest.mark.parametrize("reader", sorted(READERS))
+    @pytest.mark.parametrize("doc", [FLAT_DOC, NESTED_DOC], ids=["flat", "nested"])
+    def test_every_read_is_isolated(self, reader, doc):
+        store = DocumentStore()
+        store.insert(1, doc)
+        fetched = READERS[reader](store)
+        assert fetched == doc
+        assert fetched is not store._docs[1]
+        if "tags" in doc:
+            assert fetched["tags"] is not store._docs[1]["tags"]
+            fetched["tags"].append("c")
+        fetched["user_id"] = 2
+        fetched["extra"] = 0
+        del fetched["user_id"]
+        assert store.get(1) == doc
 
 
 class TestQueries:

@@ -19,9 +19,10 @@ from repro.compose import (
     build_stack,
 )
 from repro.datasets import load
-from repro.errors import ExperimentError
+from repro.errors import ExperimentError, PrivateUserError, ProviderTimeoutError
 from repro.experiments import run_obs_trace
-from repro.interface import collect_telemetry
+from repro.fleet import ShardedProvider, ShardRouter
+from repro.interface import FlakyProvider, InMemoryGraphProvider, collect_telemetry
 from repro.obs import (
     EVENT_FETCH,
     EVENT_QUERY,
@@ -117,6 +118,39 @@ class TestSingleStack:
         ]
         problems = reconcile_fleet(rerouted, telemetry.shards)
         assert any("never saw" in p for p in problems)
+
+
+class TestFailedFetches:
+    def test_abandoned_and_refused_fetches_reconcile(self, network):
+        """An abandoned fetch leaves a zero-latency mark, like a refusal."""
+        users = list(network.graph.nodes())[:300]
+        private = frozenset(users[:10])
+        stacks = [
+            FlakyProvider(
+                InMemoryGraphProvider(network.graph, inaccessible=private),
+                failure_rate=0.6,
+                seed=seed,
+                max_attempts=1,
+            )
+            for seed in range(2)
+        ]
+        fleet = ShardedProvider(stacks, ShardRouter(2, seed=3))
+        recorder = TraceRecorder()
+        fleet.set_recorder(recorder)
+        for user in users:
+            try:
+                fleet.fetch(user)
+            except (PrivateUserError, ProviderTimeoutError):
+                pass
+        abandoned = sum(stack.retry_stats.abandoned for stack in stacks)
+        assert abandoned > 0
+        fetches = [e for e in recorder.events if e.name == EVENT_FETCH]
+        assert len(fetches) == len(users) == sum(s.queries for s in fleet.stats)
+        marks = [e for e in fetches if e.attrs.get("abandoned")]
+        assert len(marks) == abandoned
+        assert all("latency" not in e.attrs and not e.dur for e in marks)
+        assert any(e.attrs.get("refused") for e in fetches)
+        assert reconcile_fleet(recorder, dict(enumerate(fleet.stats))) == []
 
 
 class TestMultiTenantAcceptance:
